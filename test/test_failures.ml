@@ -126,6 +126,33 @@ let test_validation () =
     (fun () ->
       ignore (CS.run (config ~crashes:[ { CS.victim = 1; at = 100; repair_delay = 0 } ] "bhmr")))
 
+(* Without crashes the crash layer must drive the same engine to the same
+   pattern as [Runtime] on the paper's reliable channels.  Basic
+   checkpoints are off: the two stop their basic timers under different
+   rules once the send budget is spent (see [crash_sim.mli]). *)
+let test_crash_free_matches_runtime () =
+  List.iter
+    (fun protocol ->
+      let (module Pr : Rdt_core.Protocol.S) = protocol in
+      List.iter
+        (fun envname ->
+          for seed = 1 to 10 do
+            let env = Rdt_workloads.Registry.find_exn envname in
+            let rt =
+              Rdt_core.Runtime.run
+                (Rdt_core.Runtime.configure ~n:5 ~seed ~messages:200 ~basic_period:(0, 0) env
+                   protocol)
+            in
+            let cs =
+              CS.run (CS.configure ~n:5 ~seed ~messages:200 ~basic_period:(0, 0) env protocol)
+            in
+            if not (P.equal rt.Rdt_core.Runtime.pattern cs.CS.pattern) then
+              Alcotest.failf "%s/%s seed %d: crash-free Crash_sim differs from Runtime" Pr.name
+                envname seed
+          done)
+        Rdt_workloads.Registry.names)
+    Rdt_core.Registry.all
+
 (* -------------------- crashes composed with network faults ------------- *)
 
 let lossy =
@@ -237,6 +264,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "early crash" `Quick test_crash_while_idle_process;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "crash-free run = Runtime run" `Quick test_crash_free_matches_runtime;
           qt crash_rdt_property;
           qt crash_consistency_property;
         ] );
