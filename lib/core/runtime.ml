@@ -3,9 +3,7 @@ module Rng = Rdt_dist.Rng
 module Channel = Rdt_dist.Channel
 module Faults = Rdt_dist.Faults
 module Transport = Rdt_dist.Transport
-module Event_queue = Rdt_dist.Event_queue
-module Pattern = Rdt_pattern.Pattern
-module Ptypes = Rdt_pattern.Types
+module History = Rdt_pattern.History
 module Trace = Rdt_obs.Trace
 module Meter = Rdt_obs.Meter
 
@@ -23,22 +21,6 @@ type config = {
   trace : Trace.t;
   online : bool;
 }
-
-let default_config env protocol =
-  {
-    n = 8;
-    seed = 1;
-    env;
-    protocol;
-    channel = Channel.Uniform (5, 100);
-    basic_period = (300, 700);
-    max_messages = 2000;
-    max_time = max_int / 2;
-    faults = Faults.none;
-    transport = None;
-    trace = Trace.null;
-    online = false;
-  }
 
 let configure ?(n = 8) ?(seed = 1) ?(messages = 2000) ?(channel = Channel.Uniform (5, 100))
     ?(basic_period = (300, 700)) ?(max_time = max_int / 2) ?(faults = Faults.none) ?transport
@@ -58,8 +40,10 @@ let configure ?(n = 8) ?(seed = 1) ?(messages = 2000) ?(channel = Channel.Unifor
     online;
   }
 
+let default_config env protocol = configure env protocol
+
 type result = {
-  pattern : Pattern.t;
+  pattern : Rdt_pattern.Pattern.t;
   metrics : Metrics.t;
   predicate_counts : (string * int) list;
   hierarchy_violations : (string * string) list;
@@ -67,466 +51,82 @@ type result = {
   online : Rdt_check.Online.summary option;
 }
 
-(* Implications expected among the named predicates (weaker => stronger in
-   the sense of Section 5.2: a less conservative test implies the more
-   conservative one). *)
-let expected_implications =
-  [ ("c1", "c_fdas"); ("c2", "c2'"); ("c2", "c_fdas"); ("c2'", "c_fdas"); ("c_fdas", "c_fdi") ]
-
-type queued =
-  | Tick of int
-  | Basic of int
-  | Arrival of { dst : int; src : int; handle : int; payload : Control.t }
-
 let validate_config cfg =
-  if cfg.n < 2 then invalid_arg "Runtime: n must be >= 2";
-  if cfg.max_messages < 0 then invalid_arg "Runtime: negative message budget";
-  (match Channel.validate cfg.channel with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Runtime: bad channel spec: " ^ e));
-  (match Faults.validate ~n:cfg.n cfg.faults with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Runtime: bad fault spec: " ^ e));
-  (match cfg.transport with
-  | Some p -> (
-      match Transport.validate_params p with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Runtime: bad transport params: " ^ e))
+  Engine.validate ~who:"Runtime" ~n:cfg.n ~max_messages:cfg.max_messages ~channel:cfg.channel
+    ~basic_period:cfg.basic_period ~faults:cfg.faults ~transport:cfg.transport
+
+let simulate cfg =
+  let module En = Engine.Make ((val cfg.protocol)) ((val cfg.env)) in
+  let create () =
+    En.create ~n:cfg.n ~seed:cfg.seed ~max_messages:cfg.max_messages ~max_time:cfg.max_time
+      ~basic_period:cfg.basic_period ~trace:cfg.trace ()
+  in
+  let finish e net tp =
+    En.start e net;
+    En.run e ~meter:"runtime";
+    let metrics = En.metrics e ~seed:cfg.seed in
+    Meter.add Meter.default "runtime.messages" (En.sent e);
+    Meter.add Meter.default "runtime.forced_ckpts" metrics.forced;
+    Meter.add Meter.default "runtime.basic_ckpts" metrics.basic;
+    (* the queue drained, so every message is settled: delivered or abandoned *)
+    Option.iter (fun tp -> assert (Transport.in_flight tp = 0)) tp;
+    let predicate_counts = En.predicate_counts e
+    and hierarchy_violations = En.hierarchy_violations e
+    and history = En.history e in
+    (* from here on the engine's states are garbage *)
+    let pattern = Meter.time Meter.default "runtime.pattern" (fun () -> History.to_pattern history) in
+    {
+      pattern;
+      metrics;
+      predicate_counts;
+      hierarchy_violations;
+      transport = Option.map Transport.stats tp;
+      online = None;
+    }
+  in
+  match cfg.transport with
   | None ->
-      if not (Faults.is_none cfg.faults) then
-        invalid_arg "Runtime: fault injection requires a transport (set cfg.transport)");
-  let lo, hi = cfg.basic_period in
-  if lo < 0 || hi < lo then invalid_arg "Runtime: bad basic period"
-
-(* The reliable path: the paper's model verbatim, one [Arrival] event per
-   message.  Kept separate from [run_faulty] so the seed behaviour (RNG
-   stream included) is bit-for-bit unchanged when no transport is
-   configured. *)
-let run_reliable cfg =
-  let (module P : Protocol.S) = cfg.protocol in
-  let (module E : Env.S) = cfg.env in
-  let tr = cfg.trace in
-  let rng = Rng.create cfg.seed in
-  let env_rng = Rng.split rng in
-  let env = E.create ~n:cfg.n ~rng:env_rng in
-  let states = Array.init cfg.n (fun pid -> P.create ~n:cfg.n ~pid) in
-  let builder = Pattern.Builder.create ~n:cfg.n in
-  let queue : queued Event_queue.t = Event_queue.create () in
-  let interval_events = Array.make cfg.n 0 in
-  let basic = ref 0
-  and basic_skipped = ref 0
-  and forced = ref 0
-  and sent = ref 0
-  and delivered = ref 0
-  and internal_events = ref 0
-  and now = ref 0 in
-  let pred_counts : (string, int ref) Hashtbl.t = Hashtbl.create 7 in
-  let violations : (string * string, unit) Hashtbl.t = Hashtbl.create 7 in
-  let take_checkpoint ?(preds = []) pid kind =
-    let snapshot = P.tdv states.(pid) in
-    let index = Pattern.Builder.checkpoint ~kind ?tdv:snapshot ~time:!now builder pid in
-    if Trace.on tr then
-      Trace.emit tr (Ckpt { pid; index; kind; time = !now; tdv = snapshot; preds });
-    P.on_checkpoint states.(pid);
-    interval_events.(pid) <- 0
-  in
-  (* Initial checkpoints: the builder records them automatically at
-     creation; mirror them in the protocol states. *)
-  Array.iter P.on_checkpoint states;
-  if Trace.on tr then
-    for pid = 0 to cfg.n - 1 do
-      Trace.emit tr
-        (Ckpt { pid; index = 0; kind = Ptypes.Initial; time = 0; tdv = None; preds = [] })
-    done;
-  let basic_enabled = cfg.basic_period <> (0, 0) in
-  let draw_basic_delay () =
-    let lo, hi = cfg.basic_period in
-    Rng.int_in rng lo hi
-  in
-  let send_message ~src ~dst =
-    if !sent < cfg.max_messages && src <> dst then begin
-      incr sent;
-      let payload = P.make_payload states.(src) ~dst in
-      let handle = Pattern.Builder.send builder ~src ~dst in
-      if Trace.on tr then Trace.emit tr (Send { msg = handle; src; dst; time = !now });
-      interval_events.(src) <- interval_events.(src) + 1;
-      let delay = Channel.sample rng cfg.channel in
-      Event_queue.schedule queue ~time:(!now + delay) (Arrival { dst; src; handle; payload });
-      if P.force_after_send then begin
-        incr forced;
-        take_checkpoint ~preds:[ "after-send" ] src Ptypes.Forced
-      end
-    end
-  in
-  let do_action pid = function
-    | Env.Send dst -> send_message ~src:pid ~dst
-    | Env.Internal ->
-        Pattern.Builder.internal builder pid;
-        if Trace.on tr then Trace.emit tr (Internal { pid; time = !now });
-        interval_events.(pid) <- interval_events.(pid) + 1;
-        incr internal_events
-    | Env.Checkpoint ->
-        if interval_events.(pid) > 0 then begin
-          incr basic;
-          take_checkpoint pid Ptypes.Basic
-        end
-        else incr basic_skipped
-  in
-  (* Prime the queue. *)
-  for pid = 0 to cfg.n - 1 do
-    Event_queue.schedule queue ~time:(E.initial_tick_delay env ~pid) (Tick pid);
-    if basic_enabled then Event_queue.schedule queue ~time:(draw_basic_delay ()) (Basic pid)
-  done;
-  (* Returns the names of the predicates that fired, so a forced
-     checkpoint triggered by this arrival can be traced to its cause. *)
-  let record_predicates ~dst ~src payload =
-    let named = P.predicates states.(dst) ~src payload in
-    match named with
-    | [] -> []
-    | _ ->
-        List.iter
-          (fun (name, v) ->
-            if v then
-              match Hashtbl.find_opt pred_counts name with
-              | Some r -> incr r
-              | None -> Hashtbl.add pred_counts name (ref 1))
-          named;
-        List.iter
-          (fun (weaker, stronger) ->
-            match (List.assoc_opt weaker named, List.assoc_opt stronger named) with
-            | Some true, Some false -> Hashtbl.replace violations (weaker, stronger) ()
-            | _ -> ())
-          expected_implications;
-        List.filter_map (fun (name, v) -> if v then Some name else None) named
-  in
-  let sim_t0 = Meter.now () in
-  let continue = ref true in
-  while !continue do
-    match Event_queue.pop queue with
-    | None -> continue := false
-    | Some (t, ev) -> (
-        now := t;
-        match ev with
-        | Tick pid ->
-            if t <= cfg.max_time && !sent < cfg.max_messages then begin
-              let { Env.actions; next_tick_in } = E.on_tick env ~pid in
-              List.iter (do_action pid) actions;
-              match next_tick_in with
-              | Some d -> Event_queue.schedule queue ~time:(t + max 1 d) (Tick pid)
-              | None -> ()
-            end
-        | Basic pid ->
-            (* keep checkpointing while the computation still executes
-               events: after the send budget is hit, in-flight arrivals
-               keep extending intervals, and those intervals deserve the
-               same basic-checkpoint coverage (once the channels drain,
-               [sent = delivered] and the clock stops rescheduling) *)
-            if t <= cfg.max_time && (!sent < cfg.max_messages || !delivered < !sent) then begin
-              do_action pid Env.Checkpoint;
-              Event_queue.schedule queue ~time:(t + draw_basic_delay ()) (Basic pid)
-            end
-        | Arrival { dst; src; handle; payload } ->
-            let fired = record_predicates ~dst ~src payload in
-            if P.must_force states.(dst) ~src payload then begin
-              incr forced;
-              take_checkpoint ~preds:fired dst Ptypes.Forced
-            end;
-            P.absorb states.(dst) ~src payload;
-            Pattern.Builder.recv builder handle;
-            incr delivered;
-            if Trace.on tr then Trace.emit tr (Deliver { msg = handle; src; dst; time = !now });
-            interval_events.(dst) <- interval_events.(dst) + 1;
-            let reactions = E.on_deliver env ~pid:dst ~src in
-            List.iter (do_action dst) reactions)
-  done;
-  Meter.add_span Meter.default "runtime.sim" (Meter.now () -. sim_t0);
-  Meter.add Meter.default "runtime.runs" 1;
-  Meter.add Meter.default "runtime.messages" !sent;
-  Meter.add Meter.default "runtime.forced_ckpts" !forced;
-  Meter.add Meter.default "runtime.basic_ckpts" !basic;
-  let pattern =
-    Meter.time Meter.default "runtime.pattern" (fun () ->
-        Pattern.Builder.finish ~final_checkpoints:true builder)
-  in
-  let metrics =
-    {
-      Metrics.n = cfg.n;
-      protocol = P.name;
-      environment = E.name;
-      seed = cfg.seed;
-      basic = !basic;
-      basic_skipped = !basic_skipped;
-      forced = !forced;
-      messages = !sent;
-      internal_events = !internal_events;
-      payload_bits_per_msg = P.payload_bits ~n:cfg.n;
-      duration = !now;
-    }
-  in
-  (* sorted traversal: these lists reach reports and JSON output, so
-     they must be a pure function of the table contents *)
-  let predicate_counts =
-    Rdt_dist.Tbl.bindings_sorted ~compare:String.compare pred_counts
-    |> List.map (fun (k, v) -> (k, !v))
-  in
-  let hierarchy_violations =
-    Rdt_dist.Tbl.keys_sorted violations
-      ~compare:(fun (a, b) (c, d) ->
-        match String.compare a c with 0 -> String.compare b d | r -> r)
-  in
-  { pattern; metrics; predicate_counts; hierarchy_violations; transport = None; online = None }
-
-(* ------------------------------------------------------------------ *)
-(* The faulty path: lossy network + reliable-delivery transport         *)
-(* ------------------------------------------------------------------ *)
-
-type fqueued =
-  | FTick of int
-  | FBasic of int
-  | FNet of Transport.wire
-
-(* The pattern cannot be built incrementally on this path: a message the
-   transport abandons ([Undeliverable]) must not appear in it (patterns
-   require every message delivered), but whether a send is abandoned is only
-   known later.  So the run records a global trace and replays it into a
-   [Pattern.Builder] at the end, skipping undeliverable sends — exactly the
-   scheme [Crash_sim] uses for rolled-back events. *)
-type fev =
-  | F_send of int (* app message id *)
-  | F_recv of int
-  | F_internal of int (* pid *)
-  | F_ckpt of { pid : int; kind : Ptypes.ckpt_kind; time : int; tdv : int array option }
-
-let run_faulty cfg params =
-  let (module P : Protocol.S) = cfg.protocol in
-  let (module E : Env.S) = cfg.env in
-  let tr = cfg.trace in
-  let rng = Rng.create cfg.seed in
-  let env_rng = Rng.split rng in
-  let net_rng = Rng.split rng in
-  let env = E.create ~n:cfg.n ~rng:env_rng in
-  let states = Array.init cfg.n (fun pid -> P.create ~n:cfg.n ~pid) in
-  let notify (notice : Transport.notice) =
-    if Trace.on tr then
-      Trace.emit tr
-        (match notice with
-        | Transport.N_drop { src; dst; time } -> Drop { src; dst; time }
-        | Transport.N_retransmit { src; dst; seq; attempt; time } ->
-            Retransmit { src; dst; seq; attempt; time })
-  in
-  let tp : int Transport.t =
-    Transport.create ~notify ~n:cfg.n ~params ~faults:cfg.faults ~channel:cfg.channel ~rng:net_rng
-      ()
-  in
-  let queue : fqueued Event_queue.t = Event_queue.create () in
-  let trace : fev list ref = ref [] (* reversed; processing order = global order *) in
-  let msg_meta : (int, int * int * Control.t) Hashtbl.t = Hashtbl.create 256 in
-  let undeliverable : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let interval_events = Array.make cfg.n 0 in
-  let basic = ref 0
-  and basic_skipped = ref 0
-  and forced = ref 0
-  and sent = ref 0
-  and internal_events = ref 0
-  and now = ref 0 in
-  let pred_counts : (string, int ref) Hashtbl.t = Hashtbl.create 7 in
-  let violations : (string * string, unit) Hashtbl.t = Hashtbl.create 7 in
-  (* checkpoint indices are assigned at replay time; track them here so
-     trace events carry the index the pattern will use *)
-  let ckpt_index = Array.make cfg.n 0 in
-  let take_checkpoint ?(preds = []) pid kind =
-    let tdv = P.tdv states.(pid) in
-    trace := F_ckpt { pid; kind; time = !now; tdv } :: !trace;
-    if Trace.on tr then begin
-      ckpt_index.(pid) <- ckpt_index.(pid) + 1;
-      Trace.emit tr (Ckpt { pid; index = ckpt_index.(pid); kind; time = !now; tdv; preds })
-    end;
-    P.on_checkpoint states.(pid);
-    interval_events.(pid) <- 0
-  in
-  (* Initial checkpoints: the builder records them automatically at replay
-     time; mirror them in the protocol states. *)
-  Array.iter P.on_checkpoint states;
-  if Trace.on tr then
-    for pid = 0 to cfg.n - 1 do
-      Trace.emit tr
-        (Ckpt { pid; index = 0; kind = Ptypes.Initial; time = 0; tdv = None; preds = [] })
-    done;
-  let basic_enabled = cfg.basic_period <> (0, 0) in
-  let draw_basic_delay () =
-    let lo, hi = cfg.basic_period in
-    Rng.int_in rng lo hi
-  in
-  (* Returns the names of the predicates that fired, so a forced
-     checkpoint triggered by this arrival can be traced to its cause. *)
-  let record_predicates ~dst ~src payload =
-    let named = P.predicates states.(dst) ~src payload in
-    match named with
-    | [] -> []
-    | _ ->
-        List.iter
-          (fun (name, v) ->
-            if v then
-              match Hashtbl.find_opt pred_counts name with
-              | Some r -> incr r
-              | None -> Hashtbl.add pred_counts name (ref 1))
-          named;
-        List.iter
-          (fun (weaker, stronger) ->
-            match (List.assoc_opt weaker named, List.assoc_opt stronger named) with
-            | Some true, Some false -> Hashtbl.replace violations (weaker, stronger) ()
-            | _ -> ())
-          expected_implications;
-        List.filter_map (fun (name, v) -> if v then Some name else None) named
-  in
-  (* [Deliver] effects recurse into application reactions (a delivery may
-     trigger sends, which produce further effects), hence the mutual
-     recursion between effect processing and the action handlers. *)
-  let rec process_effects effects =
-    List.iter
-      (function
-        | Transport.Wire { at; wire } -> Event_queue.schedule queue ~time:at (FNet wire)
-        | Transport.Undeliverable { msg = id; src; dst } ->
-            Hashtbl.replace undeliverable id ();
-            if Trace.on tr then Trace.emit tr (Undeliverable { msg = id; src; dst; time = !now })
-        | Transport.Deliver { src; dst; msg = id } ->
-            let _, _, payload = Hashtbl.find msg_meta id in
-            let fired = record_predicates ~dst ~src payload in
-            if P.must_force states.(dst) ~src payload then begin
-              incr forced;
-              take_checkpoint ~preds:fired dst Ptypes.Forced
-            end;
-            P.absorb states.(dst) ~src payload;
-            trace := F_recv id :: !trace;
-            if Trace.on tr then Trace.emit tr (Deliver { msg = id; src; dst; time = !now });
-            interval_events.(dst) <- interval_events.(dst) + 1;
-            List.iter (do_action dst) (E.on_deliver env ~pid:dst ~src))
-      effects
-  and send_message ~src ~dst =
-    if !sent < cfg.max_messages && src <> dst then begin
-      let id = !sent in
-      incr sent;
-      let payload = P.make_payload states.(src) ~dst in
-      Hashtbl.replace msg_meta id (src, dst, payload);
-      trace := F_send id :: !trace;
-      if Trace.on tr then Trace.emit tr (Send { msg = id; src; dst; time = !now });
-      interval_events.(src) <- interval_events.(src) + 1;
-      let effects = Transport.send tp ~now:!now ~src ~dst id in
-      (* a checkpoint-after-send checkpoint belongs between the send and
-         any later event of [src], so take it before processing effects *)
-      if P.force_after_send then begin
-        incr forced;
-        take_checkpoint ~preds:[ "after-send" ] src Ptypes.Forced
-      end;
-      process_effects effects
-    end
-  and do_action pid = function
-    | Env.Send dst -> send_message ~src:pid ~dst
-    | Env.Internal ->
-        trace := F_internal pid :: !trace;
-        if Trace.on tr then Trace.emit tr (Internal { pid; time = !now });
-        interval_events.(pid) <- interval_events.(pid) + 1;
-        incr internal_events
-    | Env.Checkpoint ->
-        if interval_events.(pid) > 0 then begin
-          incr basic;
-          take_checkpoint pid Ptypes.Basic
-        end
-        else incr basic_skipped
-  in
-  for pid = 0 to cfg.n - 1 do
-    Event_queue.schedule queue ~time:(E.initial_tick_delay env ~pid) (FTick pid);
-    if basic_enabled then Event_queue.schedule queue ~time:(draw_basic_delay ()) (FBasic pid)
-  done;
-  let sim_t0 = Meter.now () in
-  let continue = ref true in
-  while !continue do
-    match Event_queue.pop queue with
-    | None -> continue := false
-    | Some (t, ev) -> (
-        now := t;
-        match ev with
-        | FTick pid ->
-            if t <= cfg.max_time && !sent < cfg.max_messages then begin
-              let { Env.actions; next_tick_in } = E.on_tick env ~pid in
-              List.iter (do_action pid) actions;
-              match next_tick_in with
-              | Some d -> Event_queue.schedule queue ~time:(t + max 1 d) (FTick pid)
-              | None -> ()
-            end
-        | FBasic pid ->
-            (* same semantics as the reliable path: basic checkpointing
-               continues while the transport still has messages in flight
-               (arrivals keep executing events after the send budget is
-               hit), and stops once the channels drain *)
-            if t <= cfg.max_time && (!sent < cfg.max_messages || Transport.in_flight tp > 0)
-            then begin
-              do_action pid Env.Checkpoint;
-              Event_queue.schedule queue ~time:(t + draw_basic_delay ()) (FBasic pid)
-            end
-        | FNet wire -> process_effects (Transport.handle tp ~now:!now wire))
-  done;
-  Meter.add_span Meter.default "runtime.sim" (Meter.now () -. sim_t0);
-  Meter.add Meter.default "runtime.runs" 1;
-  Meter.add Meter.default "runtime.messages" !sent;
-  Meter.add Meter.default "runtime.forced_ckpts" !forced;
-  Meter.add Meter.default "runtime.basic_ckpts" !basic;
-  (* the queue drained, so every message is settled: delivered or abandoned *)
-  assert (Transport.in_flight tp = 0);
-  let pattern =
-    Meter.time Meter.default "runtime.pattern" (fun () ->
-        let builder = Pattern.Builder.create ~n:cfg.n in
-        let handles = Hashtbl.create 256 in
-        List.iter
-          (function
-            | F_send id ->
-                if not (Hashtbl.mem undeliverable id) then begin
-                  let src, dst, _ = Hashtbl.find msg_meta id in
-                  Hashtbl.replace handles id (Pattern.Builder.send builder ~src ~dst)
-                end
-            | F_recv id -> Pattern.Builder.recv builder (Hashtbl.find handles id)
-            | F_internal pid -> Pattern.Builder.internal builder pid
-            | F_ckpt { pid; kind; time; tdv } ->
-                ignore (Pattern.Builder.checkpoint ~kind ?tdv ~time builder pid))
-          (List.rev !trace);
-        Pattern.Builder.finish ~final_checkpoints:true builder)
-  in
-  let metrics =
-    {
-      Metrics.n = cfg.n;
-      protocol = P.name;
-      environment = E.name;
-      seed = cfg.seed;
-      basic = !basic;
-      basic_skipped = !basic_skipped;
-      forced = !forced;
-      (* delivered messages only, matching the pattern: abandoned sends
-         are excluded from both *)
-      messages = !sent - Hashtbl.length undeliverable;
-      internal_events = !internal_events;
-      payload_bits_per_msg = P.payload_bits ~n:cfg.n;
-      duration = !now;
-    }
-  in
-  (* sorted traversal: these lists reach reports and JSON output, so
-     they must be a pure function of the table contents *)
-  let predicate_counts =
-    Rdt_dist.Tbl.bindings_sorted ~compare:String.compare pred_counts
-    |> List.map (fun (k, v) -> (k, !v))
-  in
-  let hierarchy_violations =
-    Rdt_dist.Tbl.keys_sorted violations
-      ~compare:(fun (a, b) (c, d) ->
-        match String.compare a c with 0 -> String.compare b d | r -> r)
-  in
-  {
-    pattern;
-    metrics;
-    predicate_counts;
-    hierarchy_violations;
-    transport = Some (Transport.stats tp);
-    online = None;
-  }
+      (* the paper's perfect channel: one arrival per message, its delay
+         drawn on the root stream, so runs without a transport keep the
+         seed behaviour bit for bit *)
+      let e = create () in
+      let transmit m =
+        En.schedule e ~at:(En.now e + Channel.sample (En.rng e) cfg.channel) m
+      in
+      finish e
+        { Engine.transmit; handle = En.deliver e; busy = (fun () -> En.delivered e < En.sent e) }
+        None
+  | Some params ->
+      (* the reliable-delivery transport over the faulty network, on a
+         stream split off the root *)
+      let e = create () in
+      let tr = cfg.trace in
+      let notify (notice : Transport.notice) =
+        if Trace.on tr then
+          Trace.emit tr
+            (match notice with
+            | Transport.N_drop { src; dst; time } -> Drop { src; dst; time }
+            | Transport.N_retransmit { src; dst; seq; attempt; time } ->
+                Retransmit { src; dst; seq; attempt; time })
+      in
+      let tp =
+        Transport.create ~notify ~n:cfg.n ~params ~faults:cfg.faults ~channel:cfg.channel
+          ~rng:(Rng.split (En.rng e)) ()
+      in
+      let effects =
+        List.iter (function
+          | Transport.Wire { at; wire } -> En.schedule e ~at wire
+          | Transport.Undeliverable { msg; _ } -> En.abandon e msg
+          | Transport.Deliver { msg; _ } -> En.deliver e msg)
+      in
+      finish e
+        {
+          Engine.transmit =
+            (fun m -> effects (Transport.send tp ~now:(En.now e) ~src:m.src ~dst:m.dst m));
+          handle = (fun w -> effects (Transport.handle tp ~now:(En.now e) w));
+          busy = (fun () -> Transport.in_flight tp > 0);
+        }
+        (Some tp)
 
 let run cfg =
   validate_config cfg;
@@ -536,5 +136,4 @@ let run cfg =
     | None -> cfg
     | Some e -> { cfg with trace = Trace.tee cfg.trace (Rdt_check.Online.observer e) }
   in
-  let r = match cfg.transport with None -> run_reliable cfg | Some params -> run_faulty cfg params in
-  { r with online = Option.map Rdt_check.Online.summary engine }
+  { (simulate cfg) with online = Option.map Rdt_check.Online.summary engine }

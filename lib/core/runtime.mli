@@ -8,18 +8,10 @@
     from a single seed, time is integer, and event-queue ties break on
     insertion order, so a run is a pure function of its configuration.
 
-    Sequencing at a message arrival (statement S2 of Figure 6):
-    + the protocol evaluates its forced-checkpoint predicate on the
-      pre-delivery state;
-    + if it fires, a [Forced] checkpoint is taken;
-    + the piggybacked control information is merged;
-    + the message is delivered to the application, whose reaction (e.g. a
-      server forwarding a request) may send further messages.
-
-    Basic checkpoints are scheduled per process with independently drawn
-    periods; a scheduled basic checkpoint is skipped when the current
-    interval is still empty (taking two checkpoints in a row would only
-    inflate indices). *)
+    Each arrival follows statement S2 of Figure 6 and basic checkpoints
+    are skipped while the current interval is empty; both live in
+    {!Engine}, which this module drives over the perfect channel or, with
+    a transport, over the faulty network. *)
 
 type config = {
   n : int;  (** number of processes (>= 2) *)

@@ -1,11 +1,10 @@
 module Env = Rdt_dist.Env
 module Rng = Rdt_dist.Rng
 module Channel = Rdt_dist.Channel
-module Event_queue = Rdt_dist.Event_queue
 module Faults = Rdt_dist.Faults
 module Transport = Rdt_dist.Transport
 module Pattern = Rdt_pattern.Pattern
-module Ptypes = Rdt_pattern.Types
+module History = Rdt_pattern.History
 module Protocol = Rdt_core.Protocol
 module Trace = Rdt_obs.Trace
 module Meter = Rdt_obs.Meter
@@ -27,22 +26,6 @@ type config = {
   trace : Trace.t;
 }
 
-let default_config env protocol =
-  {
-    n = 8;
-    seed = 1;
-    env;
-    protocol;
-    channel = Channel.Uniform (5, 100);
-    basic_period = (300, 700);
-    max_messages = 2000;
-    max_time = max_int / 2;
-    crashes = [];
-    faults = Faults.none;
-    transport = None;
-    trace = Trace.null;
-  }
-
 let configure ?(n = 8) ?(seed = 1) ?(messages = 2000) ?(channel = Channel.Uniform (5, 100))
     ?(basic_period = (300, 700)) ?(max_time = max_int / 2) ?(crashes = [])
     ?(faults = Faults.none) ?transport ?(trace = Trace.null) env protocol =
@@ -60,6 +43,8 @@ let configure ?(n = 8) ?(seed = 1) ?(messages = 2000) ?(channel = Channel.Unifor
     transport;
     trace;
   }
+
+let default_config env protocol = configure env protocol
 
 type recovery = {
   crash : crash;
@@ -84,10 +69,6 @@ type metrics = {
 
 type result = { pattern : Pattern.t; recoveries : recovery list; metrics : metrics }
 
-(* ------------------------------------------------------------------ *)
-(* Internal trace                                                      *)
-(* ------------------------------------------------------------------ *)
-
 type msg_status =
   | Flight  (** sent, arrival pending in the channel *)
   | Delivered
@@ -96,11 +77,8 @@ type msg_status =
   | Undeliv  (** abandoned by the transport after [max_retx] retries *)
 
 type msg = {
-  m_id : int;
-  m_src : int;
-  m_dst : int;
+  m_msg : Rdt_core.Engine.msg;
   m_send_interval : int;
-  m_payload : Rdt_core.Control.t;
   mutable m_recv_interval : int; (* -1 until (re)delivered *)
   mutable m_status : msg_status;
   (* networked mode: per-message stop-and-wait retransmission state.  A
@@ -112,23 +90,7 @@ type msg = {
   mutable m_gen : int;
 }
 
-type ckpt_meta = {
-  c_index : int;
-  c_kind : Ptypes.ckpt_kind;
-  c_time : int;
-  c_tdv : int array option; (* TDV_{i,x}: the vector saved *before* the bump *)
-  c_restore : unit -> unit; (* re-install a fresh copy of the protocol state *)
-}
-
-type tev =
-  | B_send of int (* msg id *)
-  | B_recv of int
-  | B_internal
-  | B_ckpt of ckpt_meta
-
-type queued =
-  | Tick of int * int (* pid, timer epoch *)
-  | Basic of int * int
+type packet =
   | Crash of crash
   | Repair of crash
   | Arrival of int (* msg id; reliable (non-networked) mode only *)
@@ -137,21 +99,9 @@ type queued =
   | Retx of int * int (* msg id, generation: retransmission timer *)
 
 let validate cfg =
-  if cfg.n < 2 then invalid_arg "Crash_sim: n must be >= 2";
-  (match Channel.validate cfg.channel with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Crash_sim: bad channel spec: " ^ e));
-  (match Faults.validate ~n:cfg.n cfg.faults with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Crash_sim: bad fault spec: " ^ e));
-  (match cfg.transport with
-  | Some p -> (
-      match Transport.validate_params p with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Crash_sim: bad transport params: " ^ e))
-  | None ->
-      if not (Faults.is_none cfg.faults) then
-        invalid_arg "Crash_sim: fault injection requires a transport");
+  Rdt_core.Engine.validate ~who:"Crash_sim" ~n:cfg.n ~max_messages:cfg.max_messages
+    ~channel:cfg.channel ~basic_period:cfg.basic_period ~faults:cfg.faults
+    ~transport:cfg.transport;
   let per_pid = Hashtbl.create 7 in
   List.iter
     (fun c ->
@@ -167,66 +117,26 @@ let validate cfg =
 
 let run cfg =
   validate cfg;
-  let (module P : Protocol.S) = cfg.protocol in
-  let (module E : Env.S) = cfg.env in
+  let module En = Rdt_core.Engine.Make ((val cfg.protocol)) ((val cfg.env)) in
   let tr = cfg.trace in
-  let rng = Rng.create cfg.seed in
-  let env = E.create ~n:cfg.n ~rng:(Rng.split rng) in
+  let e =
+    En.create ~restorable:true ~count_predicates:false ~n:cfg.n ~seed:cfg.seed
+      ~max_messages:cfg.max_messages ~max_time:cfg.max_time ~basic_period:cfg.basic_period
+      ~trace:tr ()
+  in
+  let rng = En.rng e in
+  let now () = En.now e in
   let networked = cfg.transport <> None in
   (* the network stream is split only on the networked path so that
      transport-free runs keep the exact RNG stream (and hence results) of
      the original crash simulator *)
   let net_rng = if networked then Rng.split rng else rng in
   let tparams = match cfg.transport with Some p -> p | None -> Transport.default_params in
-  let retransmissions = ref 0 and packets_dropped = ref 0 and undeliverable = ref 0 in
-  let states = Array.init cfg.n (fun pid -> P.create ~n:cfg.n ~pid) in
-  let queue : queued Event_queue.t = Event_queue.create () in
-  let now = ref 0 in
-  let stamp = ref 0 in
-  let next_stamp () = incr stamp; !stamp in
-  (* per-process trace, most recent first, with global stamps *)
-  let traces : (int * tev) list array = Array.make cfg.n [] in
-  let ckpt_count = Array.make cfg.n 0 in
-  let interval_events = Array.make cfg.n 0 in
-  let crashed = Array.make cfg.n false in
-  (* timer epochs: bumped at each crash so that timer events scheduled
-     before the crash are discarded, and fresh streams start at repair *)
-  let epoch = Array.make cfg.n 0 in
+  let retransmissions = ref 0 and packets_dropped = ref 0 in
   let buffers : int list array = Array.make cfg.n [] (* arrivals while down, reversed *) in
-  let msgs : msg option array ref = ref (Array.make 256 None) in
-  let n_msgs = ref 0 in
-  let msg id = match !msgs.(id) with Some m -> m | None -> assert false in
-  let basic = ref 0 and forced = ref 0 in
+  let msgs : (int, msg) Hashtbl.t = Hashtbl.create 256 in
+  let msg id = Hashtbl.find msgs id in
   let recoveries = ref [] in
-  let basic_enabled = cfg.basic_period <> (0, 0) in
-  let draw_basic () =
-    let lo, hi = cfg.basic_period in
-    Rng.int_in rng lo hi
-  in
-  let push_trace pid ev = traces.(pid) <- (next_stamp (), ev) :: traces.(pid) in
-  let take_checkpoint ?(preds = []) pid kind =
-    let index = ckpt_count.(pid) in
-    let tdv = P.tdv states.(pid) in
-    P.on_checkpoint states.(pid);
-    let saved = P.copy states.(pid) in
-    let meta =
-      {
-        c_index = index;
-        c_kind = kind;
-        c_time = !now;
-        c_tdv = tdv;
-        c_restore = (fun () -> states.(pid) <- P.copy saved);
-      }
-    in
-    push_trace pid (B_ckpt meta);
-    if Trace.on tr then Trace.emit tr (Ckpt { pid; index; kind; time = !now; tdv; preds });
-    ckpt_count.(pid) <- index + 1;
-    interval_events.(pid) <- 0
-  in
-  (* initial checkpoints C_{i,0} *)
-  for pid = 0 to cfg.n - 1 do
-    take_checkpoint pid Ptypes.Initial
-  done;
   (* --------- networked mode: faulty links + per-message stop-and-wait ----
      The sliding-window {!Rdt_dist.Transport} assumes immutable link
      history, which rollback breaks (sends are undone, deliveries are
@@ -244,13 +154,13 @@ let run cfg =
   in
   let drop ~src ~dst =
     incr packets_dropped;
-    if Trace.on tr then Trace.emit tr (Drop { src; dst; time = !now })
+    if Trace.on tr then Trace.emit tr (Drop { src; dst; time = now () })
   in
   let through ~src ~dst mk =
     (* one attempt through the faulty network: a partition cut loses the
        whole attempt; otherwise each (possibly duplicated) copy is
        independently dropped and delayed *)
-    if Faults.cuts cfg.faults ~time:!now ~src ~dst then drop ~src ~dst
+    if Faults.cuts cfg.faults ~time:(now ()) ~src ~dst then drop ~src ~dst
     else
       let copies = if Rng.bernoulli net_rng cfg.faults.Faults.dup then 2 else 1 in
       for _ = 1 to copies do
@@ -262,26 +172,25 @@ let run cfg =
             then d + Rng.int_in net_rng 1 cfg.faults.Faults.reorder_window
             else d
           in
-          Event_queue.schedule queue ~time:(!now + d) (mk ())
+          En.schedule e ~at:(now () + d) (mk ())
         end
       done
   in
   let send_ack id =
     let m = msg id in
-    through ~src:m.m_dst ~dst:m.m_src (fun () -> AckPkt id)
+    through ~src:m.m_msg.dst ~dst:m.m_msg.src (fun () -> AckPkt id)
   in
   let transmit id =
     let m = msg id in
+    let { Rdt_core.Engine.src; dst; _ } = m.m_msg in
     m.m_attempts <- m.m_attempts + 1;
     if m.m_attempts > 1 then begin
       incr retransmissions;
       if Trace.on tr then
-        Trace.emit tr
-          (Retransmit
-             { src = m.m_src; dst = m.m_dst; seq = id; attempt = m.m_attempts - 1; time = !now })
+        Trace.emit tr (Retransmit { src; dst; seq = id; attempt = m.m_attempts - 1; time = now () })
     end;
-    through ~src:m.m_src ~dst:m.m_dst (fun () -> Packet id);
-    Event_queue.schedule queue ~time:(!now + rto (m.m_attempts - 1) + jitter ()) (Retx (id, m.m_gen))
+    through ~src ~dst (fun () -> Packet id);
+    En.schedule e ~at:(now () + rto (m.m_attempts - 1) + jitter ()) (Retx (id, m.m_gen))
   in
   let net_start id =
     (* (re)arm the stop-and-wait loop for [id]; bumping the generation
@@ -291,97 +200,35 @@ let run cfg =
        rollback would block the rebuild). *)
     let m = msg id in
     m.m_acked <- false;
-    if not crashed.(m.m_src) then begin
+    if not (En.down e m.m_msg.src) then begin
       m.m_gen <- m.m_gen + 1;
       m.m_attempts <- 0;
       transmit id
     end
   in
-  let sent = ref 0 in
-  let send_message ~src ~dst =
-    if !sent < cfg.max_messages && src <> dst && not crashed.(src) then begin
-      incr sent;
-      let payload = P.make_payload states.(src) ~dst in
-      let id = !n_msgs in
-      if id = Array.length !msgs then begin
-        let bigger = Array.make (2 * id) None in
-        Array.blit !msgs 0 bigger 0 id;
-        msgs := bigger
-      end;
-      !msgs.(id) <-
-        Some
-          {
-            m_id = id;
-            m_src = src;
-            m_dst = dst;
-            m_send_interval = ckpt_count.(src);
-            m_payload = payload;
-            m_recv_interval = -1;
-            m_status = Flight;
-            m_attempts = 0;
-            m_acked = false;
-            m_gen = 0;
-          };
-      n_msgs := id + 1;
-      push_trace src (B_send id);
-      if Trace.on tr then Trace.emit tr (Send { msg = id; src; dst; time = !now });
-      interval_events.(src) <- interval_events.(src) + 1;
-      if networked then net_start id
-      else Event_queue.schedule queue ~time:(!now + Channel.sample rng cfg.channel) (Arrival id);
-      if P.force_after_send then begin
-        incr forced;
-        take_checkpoint ~preds:[ "after-send" ] src Ptypes.Forced
-      end
-    end
+  let channel_arrival id =
+    En.schedule e ~at:(now () + Channel.sample rng cfg.channel) (Arrival id)
   in
-  let do_action pid = function
-    | Env.Send dst -> send_message ~src:pid ~dst
-    | Env.Internal ->
-        if not crashed.(pid) then begin
-          push_trace pid B_internal;
-          if Trace.on tr then Trace.emit tr (Internal { pid; time = !now });
-          interval_events.(pid) <- interval_events.(pid) + 1
-        end
-    | Env.Checkpoint ->
-        if not crashed.(pid) then
-          if interval_events.(pid) > 0 then begin
-            incr basic;
-            take_checkpoint pid Ptypes.Basic
-          end
+  let on_send (m : Rdt_core.Engine.msg) =
+    Hashtbl.replace msgs m.id
+      {
+        m_msg = m;
+        m_send_interval = En.next_index e m.src;
+        m_recv_interval = -1;
+        m_status = Flight;
+        m_attempts = 0;
+        m_acked = false;
+        m_gen = 0;
+      };
+    if networked then net_start m.id else channel_arrival m.id
   in
   let deliver id =
     let m = msg id in
-    let dst = m.m_dst in
-    if P.must_force states.(dst) ~src:m.m_src m.m_payload then begin
-      incr forced;
-      let preds =
-        (* name the predicates that fired, for the trace only (the
-           evaluation is pure, and skipped when tracing is off) *)
-        if Trace.on tr then
-          List.filter_map
-            (fun (name, v) -> if v then Some name else None)
-            (P.predicates states.(dst) ~src:m.m_src m.m_payload)
-        else []
-      in
-      take_checkpoint ~preds dst Ptypes.Forced
-    end;
-    P.absorb states.(dst) ~src:m.m_src m.m_payload;
-    m.m_status <- Delivered;
-    m.m_recv_interval <- ckpt_count.(dst);
-    push_trace dst (B_recv id);
-    if Trace.on tr then Trace.emit tr (Deliver { msg = id; src = m.m_src; dst; time = !now });
-    interval_events.(dst) <- interval_events.(dst) + 1;
-    List.iter (do_action dst) (E.on_deliver env ~pid:dst ~src:m.m_src)
+    En.deliver e m.m_msg ~received:(fun () ->
+        m.m_status <- Delivered;
+        m.m_recv_interval <- En.next_index e m.m_msg.dst)
   in
   (* ---------------- recovery ---------------- *)
-  let last_ckpt_index pid =
-    let rec scan = function
-      | (_, B_ckpt c) :: _ -> c.c_index
-      | _ :: rest -> scan rest
-      | [] -> assert false
-    in
-    scan traces.(pid)
-  in
   let compute_line bounds =
     (* maximum consistent vector under [bounds], over surviving delivered
        messages *)
@@ -389,73 +236,47 @@ let run cfg =
     let changed = ref true in
     while !changed do
       changed := false;
-      for id = 0 to !n_msgs - 1 do
+      for id = 0 to En.sent e - 1 do
         let m = msg id in
         if
           m.m_status = Delivered
-          && m.m_send_interval > v.(m.m_src)
-          && m.m_recv_interval <= v.(m.m_dst)
+          && m.m_send_interval > v.(m.m_msg.src)
+          && m.m_recv_interval <= v.(m.m_msg.dst)
         then begin
-          v.(m.m_dst) <- m.m_recv_interval - 1;
-          if v.(m.m_dst) < 0 then invalid_arg "Crash_sim: negative rollback";
+          v.(m.m_msg.dst) <- m.m_recv_interval - 1;
+          if v.(m.m_msg.dst) < 0 then invalid_arg "Crash_sim: negative rollback";
           changed := true
         end
       done
     done;
     v
   in
-  let truncate_to pid index stats =
-    (* discard every event after checkpoint [index] of [pid]; returns the
-       kept suffixless trace with the target checkpoint on top *)
-    let undone_sends = ref [] and undone_recvs = ref [] in
-    let rec cut = function
-      | (_, B_ckpt c) :: _ as kept when c.c_index = index ->
-          c.c_restore ();
-          kept
-      | (_, ev) :: rest ->
-          (match ev with
-          | B_send id -> undone_sends := id :: !undone_sends
-          | B_recv id -> undone_recvs := id :: !undone_recvs
-          | B_ckpt _ -> incr (snd stats)
-          | B_internal -> ());
-          incr (fst stats);
-          cut rest
-      | [] -> assert false
-    in
-    traces.(pid) <- cut traces.(pid);
-    ckpt_count.(pid) <- index + 1;
-    interval_events.(pid) <- 0;
-    (!undone_sends, !undone_recvs)
-  in
   let recover (c : crash) =
     let recover_t0 = Meter.now () in
     let pid = c.victim in
     (* live processes secure their volatile state first *)
     for q = 0 to cfg.n - 1 do
-      if (not crashed.(q)) && q <> pid && interval_events.(q) > 0 then begin
-        incr forced;
-        take_checkpoint ~preds:[ "recovery" ] q Ptypes.Forced
-      end
+      if (not (En.down e q)) && q <> pid && En.dirty e q then En.force e ~preds:[ "recovery" ] q
     done;
-    let bounds = Array.init cfg.n (fun q -> last_ckpt_index q) in
-    (* the victim's bound is its last durable checkpoint, already in
-       [bounds] since its volatile suffix is about to be discarded *)
-    let line = compute_line bounds in
+    (* the victim's bound is its last durable checkpoint, since its
+       volatile suffix is about to be discarded *)
+    let line = compute_line (Array.init cfg.n (fun q -> En.next_index e q - 1)) in
     let events_undone = ref 0 and ckpts_undone = ref 0 in
     let all_sends = ref [] and all_recvs = ref [] in
     for q = 0 to cfg.n - 1 do
-      let undone_before = !events_undone in
-      let s, r = truncate_to q line.(q) (events_undone, ckpts_undone) in
-      if Trace.on tr && !events_undone > undone_before then
-        Trace.emit tr (Rollback { pid = q; to_index = line.(q); time = !now });
-      all_sends := s @ !all_sends;
-      all_recvs := r @ !all_recvs
+      let u = En.rollback e q ~to_index:line.(q) in
+      events_undone := !events_undone + u.events;
+      ckpts_undone := !ckpts_undone + u.checkpoints;
+      if Trace.on tr && u.events > 0 then
+        Trace.emit tr (Rollback { pid = q; to_index = line.(q); time = now () });
+      all_sends := u.sends @ !all_sends;
+      all_recvs := u.recvs @ !all_recvs
     done;
     (* classify rolled-back messages *)
     List.iter (fun id -> (msg id).m_status <- Dead) !all_sends;
     (* up before the replays so that replayed messages sent by the repaired
        process restart their retransmission loops immediately *)
-    crashed.(pid) <- false;
+    En.revive e pid;
     let restarted = Hashtbl.create 17 in
     let restart id =
       if not (Hashtbl.mem restarted id) then begin
@@ -473,9 +294,9 @@ let run cfg =
           m.m_recv_interval <- -1;
           incr replayed;
           if Trace.on tr then
-            Trace.emit tr (Replay { msg = id; src = m.m_src; dst = m.m_dst; time = !now });
-          if networked then restart id
-          else Event_queue.schedule queue ~time:(!now + Channel.sample rng cfg.channel) (Arrival id)
+            Trace.emit tr
+              (Replay { msg = id; src = m.m_msg.src; dst = m.m_msg.dst; time = now () });
+          if networked then restart id else channel_arrival id
         end)
       !all_recvs;
     (* buffered arrivals for the repaired process re-enter the channel
@@ -484,8 +305,7 @@ let run cfg =
     List.iter
       (fun id ->
         match (msg id).m_status with
-        | Flight | Replay ->
-            Event_queue.schedule queue ~time:(!now + Channel.sample rng cfg.channel) (Arrival id)
+        | Flight | Replay -> channel_arrival id
         | Dead | Delivered | Undeliv -> ())
       (List.rev buffers.(pid));
     buffers.(pid) <- [];
@@ -493,14 +313,12 @@ let run cfg =
       (* the repaired process lost its retransmission timers with its
          volatile state: re-arm the loop for each of its messages still
          owed a delivery (including replays deferred while it was down) *)
-      for id = 0 to !n_msgs - 1 do
+      for id = 0 to En.sent e - 1 do
         let m = msg id in
-        if m.m_src = pid && (not m.m_acked) && (m.m_status = Flight || m.m_status = Replay) then
+        if m.m_msg.src = pid && (not m.m_acked) && (m.m_status = Flight || m.m_status = Replay) then
           restart id
       done;
-    Event_queue.schedule queue ~time:(!now + 1) (Tick (pid, epoch.(pid)));
-    if basic_enabled then
-      Event_queue.schedule queue ~time:(!now + draw_basic ()) (Basic (pid, epoch.(pid)));
+    En.start_timers e pid ~first_tick:(now () + 1);
     recoveries :=
       {
         crash = c;
@@ -515,129 +333,75 @@ let run cfg =
     Meter.add Meter.default "crash_sim.events_undone" !events_undone;
     Meter.add Meter.default "crash_sim.messages_replayed" !replayed
   in
-  (* ---------------- main loop ---------------- *)
-  for pid = 0 to cfg.n - 1 do
-    Event_queue.schedule queue ~time:(E.initial_tick_delay env ~pid) (Tick (pid, 0));
-    if basic_enabled then Event_queue.schedule queue ~time:(draw_basic ()) (Basic (pid, 0))
-  done;
-  List.iter (fun c -> Event_queue.schedule queue ~time:c.at (Crash c)) cfg.crashes;
-  let sim_t0 = Meter.now () in
-  let continue = ref true in
-  while !continue do
-    match Event_queue.pop queue with
-    | None -> continue := false
-    | Some (t, ev) -> (
-        now := t;
-        match ev with
-        | Tick (pid, e) ->
-            if
-              e = epoch.(pid) && (not crashed.(pid)) && t <= cfg.max_time
-              && !sent < cfg.max_messages
-            then begin
-              let { Env.actions; next_tick_in } = E.on_tick env ~pid in
-              List.iter (do_action pid) actions;
-              match next_tick_in with
-              | Some d -> Event_queue.schedule queue ~time:(t + max 1 d) (Tick (pid, e))
-              | None -> ()
-            end
-        | Basic (pid, e) ->
-            if
-              e = epoch.(pid) && (not crashed.(pid)) && t <= cfg.max_time
-              && !sent < cfg.max_messages
-            then begin
-              do_action pid Env.Checkpoint;
-              Event_queue.schedule queue ~time:(t + draw_basic ()) (Basic (pid, e))
-            end
-        | Crash c ->
-            if crashed.(c.victim) then invalid_arg "Crash_sim: victim already down";
-            (* the volatile suffix is lost immediately; we discard it at
-               repair time, which is equivalent since the process does
-               nothing while down *)
-            crashed.(c.victim) <- true;
-            epoch.(c.victim) <- epoch.(c.victim) + 1;
-            Event_queue.schedule queue ~time:(t + c.repair_delay) (Repair c)
-        | Repair c -> recover c
-        | Arrival id -> (
-            let m = msg id in
-            match m.m_status with
-            | Dead | Undeliv -> () (* undone send: the message evaporates *)
-            | Delivered -> () (* stale arrival from before a rollback *)
-            | Flight | Replay ->
-                if crashed.(m.m_dst) then buffers.(m.m_dst) <- id :: buffers.(m.m_dst)
-                else deliver id)
-        | Packet id -> (
-            let m = msg id in
-            match m.m_status with
-            | Dead | Undeliv -> () (* stray copy of an undone/abandoned send *)
-            | Delivered -> send_ack id (* redundant copy: just re-ack *)
-            | Flight | Replay ->
-                if crashed.(m.m_dst) then drop ~src:m.m_src ~dst:m.m_dst
-                else begin
-                  deliver id;
-                  send_ack id
-                end)
-        | AckPkt id ->
-            let m = msg id in
-            if crashed.(m.m_src) then drop ~src:m.m_dst ~dst:m.m_src
-            else (
-              match m.m_status with
-              | Delivered -> m.m_acked <- true
-              | Flight | Replay ->
-                  (* stale ack: the delivery it acknowledges was rolled
-                     back (a genuine ack is always sent from [Delivered]
-                     state, which only a rollback can leave).  Accepting
-                     it would silence the retransmission loop re-armed at
-                     recovery and strand the message undelivered. *)
-                  ()
-              | Dead | Undeliv -> ())
-        | Retx (id, gen) -> (
-            let m = msg id in
-            if gen = m.m_gen && (not m.m_acked) && not crashed.(m.m_src) then
-              match m.m_status with
-              | Dead | Undeliv -> ()
-              | Delivered when m.m_attempts > tparams.Transport.max_retx ->
-                  () (* the receiver has it; only the acks were lost *)
-              | Flight | Replay when m.m_attempts > tparams.Transport.max_retx ->
-                  (* typed graceful degradation: give up, keep the run finite *)
-                  m.m_status <- Undeliv;
-                  incr undeliverable;
-                  if Trace.on tr then
-                    Trace.emit tr
-                      (Undeliverable { msg = id; src = m.m_src; dst = m.m_dst; time = !now })
-              | Flight | Replay | Delivered -> transmit id))
-  done;
-  Meter.add_span Meter.default "crash_sim.sim" (Meter.now () -. sim_t0);
-  Meter.add Meter.default "crash_sim.runs" 1;
+  (* ---------------- network events ---------------- *)
+  let handle = function
+    | Crash c ->
+        if En.down e c.victim then invalid_arg "Crash_sim: victim already down";
+        (* the volatile suffix is lost immediately; we discard it at
+           repair time, which is equivalent since the process does
+           nothing while down *)
+        En.halt e c.victim;
+        En.schedule e ~at:(now () + c.repair_delay) (Repair c)
+    | Repair c -> recover c
+    | Arrival id -> (
+        let m = msg id in
+        match m.m_status with
+        | Dead | Undeliv -> () (* undone send: the message evaporates *)
+        | Delivered -> () (* stale arrival from before a rollback *)
+        | Flight | Replay ->
+            let dst = m.m_msg.dst in
+            if En.down e dst then buffers.(dst) <- id :: buffers.(dst) else deliver id)
+    | Packet id -> (
+        let m = msg id in
+        match m.m_status with
+        | Dead | Undeliv -> () (* stray copy of an undone/abandoned send *)
+        | Delivered -> send_ack id (* redundant copy: just re-ack *)
+        | Flight | Replay ->
+            if En.down e m.m_msg.dst then drop ~src:m.m_msg.src ~dst:m.m_msg.dst
+            else begin
+              deliver id;
+              send_ack id
+            end)
+    | AckPkt id ->
+        let m = msg id in
+        if En.down e m.m_msg.src then drop ~src:m.m_msg.dst ~dst:m.m_msg.src
+        else (
+          match m.m_status with
+          | Delivered -> m.m_acked <- true
+          | Flight | Replay ->
+              (* stale ack: the delivery it acknowledges was rolled
+                 back (a genuine ack is always sent from [Delivered]
+                 state, which only a rollback can leave).  Accepting
+                 it would silence the retransmission loop re-armed at
+                 recovery and strand the message undelivered. *)
+              ()
+          | Dead | Undeliv -> ())
+    | Retx (id, gen) -> (
+        let m = msg id in
+        if gen = m.m_gen && (not m.m_acked) && not (En.down e m.m_msg.src) then
+          match m.m_status with
+          | Dead | Undeliv -> ()
+          | Delivered when m.m_attempts > tparams.Transport.max_retx ->
+              () (* the receiver has it; only the acks were lost *)
+          | Flight | Replay when m.m_attempts > tparams.Transport.max_retx ->
+              (* typed graceful degradation: give up, keep the run finite *)
+              m.m_status <- Undeliv;
+              En.abandon e m.m_msg
+          | Flight | Replay | Delivered -> transmit id)
+  in
+  (* [busy] is constantly false: basic timers stop once the send budget is
+     spent, even while messages are still owed a delivery.  [Runtime]'s
+     networks keep them running until the channels drain; the recorded
+     crash results (the benchmark's pinned digests among them) depend on
+     this rule, so aligning the two is a change of its own. *)
+  En.start e { Rdt_core.Engine.transmit = on_send; handle; busy = (fun () -> false) };
+  List.iter (fun c -> En.schedule e ~at:c.at (Crash c)) cfg.crashes;
+  En.run e ~meter:"crash_sim";
   Meter.add Meter.default "crash_sim.recoveries" (List.length !recoveries);
-  (* ---------------- final pattern ---------------- *)
+  let m = En.metrics e ~seed:cfg.seed and sent = En.sent e and history = En.history e in
+  (* from here on the engine, and the protocol states it saved, are garbage *)
   let pattern_t0 = Meter.now () in
-  let builder = Pattern.Builder.create ~n:cfg.n in
-  let all = ref [] in
-  for pid = 0 to cfg.n - 1 do
-    List.iter (fun (s, ev) -> all := (s, pid, ev) :: !all) traces.(pid)
-  done;
-  let ordered = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !all in
-  let handles = Hashtbl.create 97 in
-  let delivered = ref 0 in
-  List.iter
-    (fun (_, pid, ev) ->
-      match ev with
-      | B_internal -> Pattern.Builder.internal builder pid
-      | B_send id ->
-          let m = msg id in
-          (* abandoned messages never reached the application on either
-             side: the surviving pattern excludes their sends *)
-          if m.m_status <> Undeliv then
-            Hashtbl.replace handles id (Pattern.Builder.send builder ~src:pid ~dst:m.m_dst)
-      | B_recv id ->
-          incr delivered;
-          Pattern.Builder.recv builder (Hashtbl.find handles id)
-      | B_ckpt c ->
-          if c.c_index > 0 then
-            ignore
-              (Pattern.Builder.checkpoint ~kind:c.c_kind ?tdv:c.c_tdv ~time:c.c_time builder pid))
-    ordered;
-  let pattern = Pattern.Builder.finish ~final_checkpoints:true builder in
+  let pattern = History.to_pattern history in
   Meter.add_span Meter.default "crash_sim.pattern" (Meter.now () -. pattern_t0);
   let recoveries = List.rev !recoveries in
   {
@@ -645,15 +409,15 @@ let run cfg =
     recoveries;
     metrics =
       {
-        messages_delivered = !delivered;
-        basic = !basic;
-        forced = !forced;
-        duration = !now;
+        messages_delivered = Pattern.num_messages pattern;
+        basic = m.basic;
+        forced = m.forced;
+        duration = m.duration;
         total_events_undone = List.fold_left (fun a r -> a + r.events_undone) 0 recoveries;
         total_messages_replayed =
           List.fold_left (fun a r -> a + r.messages_replayed) 0 recoveries;
         retransmissions = !retransmissions;
         packets_dropped = !packets_dropped;
-        undeliverable = !undeliverable;
+        undeliverable = sent - m.messages;
       };
   }

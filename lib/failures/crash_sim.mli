@@ -25,6 +25,14 @@
       consistent path (fail-stop recovery guarantees consistency, not
       deterministic re-execution).
 
+    It drives the same {!Rdt_core.Engine} as {!Rdt_core.Runtime}, with
+    one rule of its own: basic checkpoints stop once the send budget is
+    spent, even while messages are still owed a delivery, whereas
+    [Runtime] keeps its basic timers running until the channels drain.
+    Aligning the two would change every recorded crash result.  Without
+    crashes and with basic checkpoints off ([basic_period = (0, 0)]), a
+    run on reliable channels yields exactly [Runtime]'s pattern.
+
     The result is the pattern of the {e surviving} execution (undone
     events do not appear), which for an RDT protocol must again satisfy
     RDT — the strongest end-to-end test of the protocol implementations,
@@ -123,6 +131,7 @@ type result = {
 }
 
 val run : config -> result
-(** @raise Invalid_argument on malformed configurations (bad pids,
-    crashes out of order on the same process, non-positive repair
-    delays). *)
+(** @raise Invalid_argument on malformed configurations: the settings
+    shared with {!Rdt_core.Runtime} (same checks, ["Crash_sim:"] prefix),
+    bad pids, overlapping crashes of one process, non-positive repair
+    delays. *)

@@ -1,10 +1,9 @@
 (** Rebuild a checkpoint-and-communication pattern from a trace.
 
-    The rebuild consumes the events in emission order, maintaining one
-    stack of surviving events per process; a {!Trace.Rollback} pops a
-    process's stack back to the named checkpoint, exactly as recovery
-    truncated the live run's history.  Surviving events are then replayed
-    into a {!Rdt_pattern.Pattern.Builder}, yielding a pattern structurally
+    The rebuild records the events, in emission order, into the same
+    {!Rdt_pattern.History} the live run recorded into; a {!Trace.Rollback}
+    truncates a process's history back to the named checkpoint, exactly
+    as recovery did.  The surviving history yields a pattern structurally
     equal to the one the live run handed to the checkers — so the trace is
     a self-contained correctness artifact: re-running the offline RDT
     checkers on the rebuilt pattern must reproduce the recorded

@@ -124,7 +124,12 @@ let test_validation () =
               "bhmr")));
   Alcotest.check_raises "zero repair" (Invalid_argument "Crash_sim: repair_delay must be >= 1")
     (fun () ->
-      ignore (CS.run (config ~crashes:[ { CS.victim = 1; at = 100; repair_delay = 0 } ] "bhmr")))
+      ignore (CS.run (config ~crashes:[ { CS.victim = 1; at = 100; repair_delay = 0 } ] "bhmr")));
+  (* the settings shared with Runtime are checked by the same validator *)
+  Alcotest.check_raises "negative budget" (Invalid_argument "Crash_sim: negative message budget")
+    (fun () -> ignore (CS.run (config ~messages:(-5) "bhmr")));
+  Alcotest.check_raises "inverted basic period" (Invalid_argument "Crash_sim: bad basic period")
+    (fun () -> ignore (CS.run { (config "bhmr") with CS.basic_period = (700, 300) }))
 
 (* Without crashes the crash layer must drive the same engine to the same
    pattern as [Runtime] on the paper's reliable channels.  Basic
